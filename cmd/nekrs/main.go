@@ -44,7 +44,7 @@ func main() {
 	order := flag.Int("order", 4, "polynomial order")
 	out := flag.String("out", "nekrs-out", "output directory")
 	logEvery := flag.Int("log-every", 10, "print step diagnostics every n steps")
-	retry := flag.Int("retry", 0, "mid-stream consumer reattach budget for direct SST writers (adios analysis; 0 = a disconnect ends the stream)")
+	retry := flag.Int("retry", 0, "mid-stream reader reattach budget for direct SST streams (adios analysis; 0 = a disconnect ends the stream)")
 	sessionTTL := flag.Duration("session-ttl", 0, "staging analysis: retain a disconnected consumer's cursor and queue for this long, resumable exactly-once (0 = off)")
 	telAddr := flag.String("telemetry", "", "serve /metrics, /statusz and /debug/pprof on this address (e.g. 127.0.0.1:9150; empty = off)")
 	flag.Parse()

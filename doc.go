@@ -41,7 +41,8 @@
 // Analysis contract — declare-what-you-need Describe, pull-once
 // shared Steps, stop signal — and the XML-configurable planner),
 // internal/core (the nek_sensei coupling bridge), internal/adios +
-// internal/intransit (the SST transport with array subsetting on the
+// internal/intransit (the SST wire format and reader, the direct
+// stream as a one-consumer staging hub with array subsetting on the
 // wire, the serial endpoint, and the parallel endpoint group),
 // internal/staging (the multi-consumer hub: ring buffer,
 // reference-counted zero-copy payloads, block / drop-oldest /

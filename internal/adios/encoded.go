@@ -97,9 +97,6 @@ func (e *StreamEncoder) BytesRaw() int64 { return e.rawBytes.Load() }
 // shipped as.
 func (e *StreamEncoder) BytesEncoded() int64 { return e.encBytes.Load() }
 
-// Reset drops the temporal state: the next frame is a keyframe.
-func (e *StreamEncoder) Reset() { e.hasPrev = false }
-
 // choiceFor resolves the negotiated choice for a variable, demoting
 // temporal to transpose-delta when no usable base exists.
 func (e *StreamEncoder) choiceFor(v *Variable, temporalOK bool) codec.Choice {

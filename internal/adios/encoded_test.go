@@ -139,8 +139,8 @@ func TestStreamRoundTripAllCodecs(t *testing.T) {
 
 // TestStreamTemporalKeyframes covers the chain-repair paths: a
 // consumer that missed the base step must get EncodeKeyFrame's
-// self-contained form, a chain frame against the wrong base must be
-// refused, and Reset restarts the chain.
+// self-contained form, and a chain frame against the wrong base must
+// be refused.
 func TestStreamTemporalKeyframes(t *testing.T) {
 	spec := mustSpec(t, "temporal-delta")
 	enc := NewStreamEncoder(spec)
@@ -181,14 +181,7 @@ func TestStreamTemporalKeyframes(t *testing.T) {
 		t.Fatal("chain after keyframe diverged")
 	}
 
-	// EncodeKeyFrame must not have advanced the encoder's chain: after
-	// Reset the next frame is again a keyframe.
-	enc.Reset()
-	f3, base3 := enc.EncodeFrame(codedStep(3, 64), pool)
-	if base3 != -1 {
-		t.Fatalf("base after Reset = %d, want -1", base3)
-	}
-	for _, f := range []*Frame{f0, f1, key1, f2, f3} {
+	for _, f := range []*Frame{f0, f1, key1, f2} {
 		f.Release()
 	}
 }
@@ -368,107 +361,4 @@ func TestPlainUnmarshalRejectsEncoded(t *testing.T) {
 	if err := dec.DecodeInto(plain, &out); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestSSTCodecNegotiation drives the direct writer/reader pair: codec
-// requests outside the advertisement are rejected at handshake, and an
-// accepted request compresses the stream end-to-end — including a
-// structure step mid-stream that resets the temporal chain.
-func TestSSTCodecNegotiation(t *testing.T) {
-	t.Run("reject unadvertised codec", func(t *testing.T) {
-		w, err := ListenWriter("127.0.0.1:0", WriterOptions{
-			AdvertiseCodecs: []string{"transpose-delta"},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer w.Close()
-		_, err = OpenReaderWith(w.Addr(), ReaderOptions{Codecs: []string{"quantize:1e-3"}})
-		if err == nil || !strings.Contains(err.Error(), "quantize") {
-			t.Fatalf("err = %v, want quantize rejection", err)
-		}
-	})
-
-	t.Run("bad codec spec fails before dial", func(t *testing.T) {
-		if _, err := OpenReaderWith("127.0.0.1:1", ReaderOptions{Codecs: []string{"bogus"}}); err == nil ||
-			!strings.Contains(err.Error(), "bogus") {
-			t.Fatalf("err = %v, want unknown codec", err)
-		}
-	})
-
-	t.Run("temporal stream with structure step", func(t *testing.T) {
-		w, err := ListenWriter("127.0.0.1:0", WriterOptions{QueueLimit: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		const steps = 8
-		want := make([]*Step, steps)
-		for i := range want {
-			want[i] = codedStep(int64(i), 300)
-			if i == 4 {
-				want[i].Attrs["structure"] = "1"
-			}
-		}
-		errCh := make(chan error, 1)
-		go func() {
-			for _, s := range want {
-				if err := w.Put(s); err != nil {
-					errCh <- err
-					return
-				}
-			}
-			errCh <- w.Close()
-		}()
-		r, err := OpenReaderWith(w.Addr(), ReaderOptions{Codecs: []string{"temporal-delta"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		for i := 0; i < steps; i++ {
-			got, err := r.BeginStep()
-			if err != nil {
-				t.Fatalf("step %d: %v", i, err)
-			}
-			if got.Step != int64(i) {
-				t.Fatalf("step order: got %d want %d", got.Step, i)
-			}
-			if !f64BitsEqual(want[i].FindVar("array/u").F64, got.FindVar("array/u").F64) {
-				t.Fatalf("step %d: payload mismatch over the wire", i)
-			}
-		}
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
-		}
-		if got := w.RequestedCodecs(); len(got) != 1 || got[0] != "temporal-delta" {
-			t.Errorf("RequestedCodecs = %v", got)
-		}
-		if r := w.CodecRatio(); !(r > 0 && r < 1) {
-			t.Errorf("CodecRatio = %v, want < 1 on the smooth field", r)
-		}
-	})
-
-	t.Run("identity request leaves the wire plain", func(t *testing.T) {
-		w, err := ListenWriter("127.0.0.1:0", WriterOptions{QueueLimit: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			w.Put(codedStep(0, 10)) //nolint:errcheck
-			w.Close()               //nolint:errcheck
-		}()
-		r, err := OpenReader(w.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		if _, err := r.BeginStep(); err != nil {
-			t.Fatal(err)
-		}
-		if got := w.RequestedCodecs(); got != nil {
-			t.Errorf("RequestedCodecs = %v, want nil", got)
-		}
-		if r := w.CodecRatio(); r != 1 {
-			t.Errorf("CodecRatio = %v, want 1", r)
-		}
-	})
 }

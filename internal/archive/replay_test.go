@@ -49,11 +49,15 @@ func hexStep(step int64) *adios.Step {
 	return s
 }
 
-// captureFunc adapts a closure to the legacy sensei analysis contract.
-type captureFunc func(da sensei.DataAdaptor) error
+// captureFunc adapts a closure to a sensei.Analysis pulling array "f"
+// of "mesh".
+type captureFunc func(st *sensei.Step) error
 
-func (f captureFunc) Execute(da sensei.DataAdaptor) (bool, error) { return false, f(da) }
-func (f captureFunc) Finalize() error                             { return nil }
+func (f captureFunc) Describe() sensei.Requirements {
+	return sensei.RequireArrays("mesh", sensei.AssocPoint, "f")
+}
+func (f captureFunc) Execute(st *sensei.Step) (bool, error) { return false, f(st) }
+func (f captureFunc) Finalize() error                       { return nil }
 
 // runEndpoint attaches one reader to addr under the given consumer
 // options and captures, per executed step, the merged "f" array.
@@ -72,16 +76,13 @@ func runEndpoint(addr string, opts adios.ReaderOptions) (perStep map[int][]float
 		return nil, 0, err
 	}
 	perStep = map[int][]float64{}
-	ep.Analysis().AddLegacyAnalysis("capture", 1, captureFunc(func(da sensei.DataAdaptor) error {
-		g, err := da.Mesh("mesh", true)
+	ep.Analysis().AddAnalysis("capture", 1, captureFunc(func(st *sensei.Step) error {
+		g, err := st.Mesh("mesh")
 		if err != nil {
 			return err
 		}
-		if err := da.AddArray(g, "mesh", sensei.AssocPoint, "f"); err != nil {
-			return err
-		}
 		arr := g.FindPointData("f")
-		perStep[da.TimeStep()] = append([]float64(nil), arr.Data...)
+		perStep[st.TimeStep()] = append([]float64(nil), arr.Data...)
 		return nil
 	}))
 	steps, err = ep.Run()
@@ -478,5 +479,76 @@ func TestParsePace(t *testing.T) {
 		if err == nil && p.String() != c.want {
 			t.Fatalf("ParsePace(%q) = %q, want %q", c.in, p.String(), c.want)
 		}
+	}
+}
+
+// TestAttachAnalysisRecordsAdiosStream: recording an "adios" stream
+// rides the stream's hub like any staging recording — every published
+// step lands in the archive byte-identical to the frame its reader
+// received, while the reader itself still sees every step.
+func TestAttachAnalysisRecordsAdiosStream(t *testing.T) {
+	const steps = 5
+	a, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	ctx := &sensei.Context{
+		Comm: mpirt.NewWorld(1).Comm(0), Acct: metrics.NewAccountant(),
+		Timer: metrics.NewTimer(), Storage: metrics.NewStorageCounter(),
+	}
+	w, err := intransit.NewWriter("127.0.0.1:0", ctx.Acct, 2, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca := sensei.NewConfigurableAnalysis(ctx)
+	ca.AddAnalysis("adios", 1, intransit.NewSendAdaptor(w, "mesh", nil))
+	finish, err := AttachAnalysis(ca, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := adios.OpenReader(w.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	received := make(chan [][]byte, 1)
+	go func() {
+		var got [][]byte
+		for {
+			raw, err := r.BeginRawStep()
+			if err != nil {
+				break
+			}
+			got = append(got, append([]byte(nil), raw...))
+		}
+		received <- got
+	}()
+	for i := 0; i < steps; i++ {
+		if err := w.Put(hexStep(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ca.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if err := finish(); err != nil {
+		t.Fatal(err)
+	}
+	got := <-received
+	if len(got) != steps || a.Len() != steps {
+		t.Fatalf("reader got %d steps, archive holds %d, want %d each", len(got), a.Len(), steps)
+	}
+	for i, frame := range got {
+		rec, err := a.ReadFrameInto(int64(i), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec, frame) {
+			t.Fatalf("record %d differs from the frame the reader received", i)
+		}
+	}
+	if _, err := AttachAnalysis(sensei.NewConfigurableAnalysis(ctx), a); err == nil {
+		t.Error("a configuration with no stream should refuse recording")
 	}
 }

@@ -15,9 +15,9 @@ import (
 
 // FanoutConfig parameterizes one fan-out transport measurement: one
 // producer streaming synthetic timesteps to N consumers, either over
-// N independent SST writers (direct — each step marshaled and queued
-// once per consumer) or through one staging hub (staged — marshaled
-// once, shared by every consumer).
+// N independent one-consumer hubs (direct — each step marshaled and
+// queued once per consumer) or through one staging hub (staged —
+// marshaled once, shared by every consumer).
 type FanoutConfig struct {
 	Consumers  int
 	Policy     staging.Policy // staged mode only; direct SST is always Block
@@ -128,107 +128,54 @@ func linkPace(n int64, rate float64) {
 	time.Sleep(time.Duration(float64(n) / (rate * (1 << 20)) * float64(time.Second)))
 }
 
-// RunFanoutDirect streams through N independent SST writers, the only
-// fan-out shape the one-producer/one-consumer transport supports: the
-// producer marshals and queues every step once per consumer and blocks
-// on the slowest queue (SST semantics).
+// RunFanoutDirect streams through N independent one-consumer hubs,
+// the only fan-out shape a one-producer/one-consumer transport
+// supports: the producer publishes every step once per consumer, each
+// hub marshals its own copy, and the producer blocks on the slowest
+// queue (SST semantics).
 func RunFanoutDirect(cfg FanoutConfig) (FanoutResult, error) {
-	c := cfg.withDefaults()
-	writers := make([]*adios.Writer, c.Consumers)
-	for i := range writers {
-		w, err := adios.ListenWriter("127.0.0.1:0", adios.WriterOptions{QueueLimit: c.Depth})
-		if err != nil {
-			return FanoutResult{}, err
-		}
-		writers[i] = w
-	}
-	recvd := make([]int64, c.Consumers)
-	errs := make([]error, c.Consumers)
-	var wg sync.WaitGroup
-	for i, w := range writers {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			r, err := adios.OpenReader(addr)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer r.Close()
-			var seen int64
-			for {
-				if _, err := r.BeginStep(); err != nil {
-					if !errors.Is(err, io.EOF) {
-						errs[i] = err
-					}
-					return
-				}
-				recvd[i]++
-				linkPace(r.BytesReceived()-seen, c.LinkMBps)
-				seen = r.BytesReceived()
-				if c.ConsumerDelay > 0 {
-					time.Sleep(c.ConsumerDelay)
-				}
-			}
-		}(i, w.Addr())
-	}
-
-	var payload int64
-	start := time.Now()
-	for s := 0; s < c.Steps; s++ {
-		step := fanoutStep(s, c.PayloadF64, c.Field)
-		payload += step.Bytes()
-		for _, w := range writers {
-			if err := w.Put(step); err != nil {
-				return FanoutResult{}, err
-			}
-		}
-	}
-	wall := time.Since(start)
-	for _, w := range writers {
-		if err := w.Close(); err != nil {
-			return FanoutResult{}, err
-		}
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return FanoutResult{}, err
-		}
-	}
-	res := FanoutResult{
-		Mode: "direct", Policy: staging.Block, Consumers: c.Consumers,
-		Steps: c.Steps, ProducerWall: wall, ProducerMBps: mbps(payload, wall),
-		WireRatio: 1,
-	}
-	for _, n := range recvd {
-		res.Delivered += n
-	}
-	return res, nil
+	return runFanout(cfg, nil, true)
 }
 
 // RunFanoutStaged streams through one staging hub serving N network
 // consumers under the configured backpressure policy: each step is
 // marshaled once and the frame shared by every connection.
 func RunFanoutStaged(cfg FanoutConfig) (FanoutResult, error) {
-	return runFanoutStaged(cfg, nil)
+	return runFanout(cfg, nil, false)
 }
 
-// runFanoutStaged is RunFanoutStaged with an optional telemetry plane
-// attached to the hub and every reader — the instrumented arm of the
-// telemetry-overhead measurement. tel == nil runs bare.
-func runFanoutStaged(cfg FanoutConfig, tel *telemetry.Telemetry) (FanoutResult, error) {
+// runFanout is RunFanoutDirect (direct set) or RunFanoutStaged, with an
+// optional telemetry plane attached to the hubs and every reader — the
+// instrumented arm of the telemetry-overhead measurement. tel == nil
+// runs bare.
+func runFanout(cfg FanoutConfig, tel *telemetry.Telemetry, direct bool) (FanoutResult, error) {
 	c := cfg.withDefaults()
-	hub := staging.NewHub(nil)
-	hub.SetTelemetry(tel, "bench")
-	srv, err := staging.Serve(hub, "127.0.0.1:0", nil)
-	if err != nil {
-		return FanoutResult{}, err
+	res := FanoutResult{Mode: "staged", Consumers: c.Consumers, Steps: c.Steps, WireRatio: 1}
+	nhubs := 1
+	if direct {
+		// Per-consumer codecs are a staging feature.
+		res.Mode, c.Policy, c.Codecs = "direct", staging.Block, nil
+		nhubs = c.Consumers
+	}
+	res.Policy = c.Policy
+	hubs := make([]*staging.Hub, nhubs)
+	servers := make([]*staging.Server, nhubs)
+	for i := range hubs {
+		hubs[i] = staging.NewHub(nil)
+		hubs[i].SetTelemetry(tel, "bench")
+		srv, err := staging.Serve(hubs[i], "127.0.0.1:0", nil)
+		if err != nil {
+			return FanoutResult{}, err
+		}
+		servers[i] = srv
 	}
 	errs := make([]error, c.Consumers)
 	var wg sync.WaitGroup
 	for i := 0; i < c.Consumers; i++ {
-		r, err := adios.OpenReaderWith(srv.Addr(), adios.ReaderOptions{
+		// The server binds the hub consumer before replying to the
+		// handshake OpenReaderWith blocks on, so Block consumers cannot
+		// miss early steps.
+		r, err := adios.OpenReaderWith(servers[i%nhubs].Addr(), adios.ReaderOptions{
 			Consumer: fmt.Sprintf("bench-%d", i),
 			Policy:   c.Policy.String(),
 			Depth:    c.Depth,
@@ -239,7 +186,7 @@ func runFanoutStaged(cfg FanoutConfig, tel *telemetry.Telemetry) (FanoutResult, 
 		}
 		r.SetTelemetry(tel, "consumer", fmt.Sprintf("bench-%d", i))
 		wg.Add(1)
-		go func(i int, r *adios.Reader) {
+		go func() {
 			defer wg.Done()
 			defer r.Close()
 			var seen int64
@@ -256,27 +203,28 @@ func runFanoutStaged(cfg FanoutConfig, tel *telemetry.Telemetry) (FanoutResult, 
 					time.Sleep(c.ConsumerDelay)
 				}
 			}
-		}(i, r)
+		}()
 	}
-	// Every consumer is already subscribed: the server binds the hub
-	// consumer before replying to the handshake OpenReaderWith blocks
-	// on, so Block consumers cannot miss early steps.
 
 	var payload int64
 	start := time.Now()
 	for s := 0; s < c.Steps; s++ {
 		step := fanoutStep(s, c.PayloadF64, c.Field)
 		payload += step.Bytes()
-		if err := hub.Publish(step); err != nil {
-			return FanoutResult{}, err
+		for _, h := range hubs {
+			if err := h.Publish(step); err != nil {
+				return FanoutResult{}, err
+			}
 		}
 	}
 	wall := time.Since(start)
-	if err := hub.Close(); err != nil {
-		return FanoutResult{}, err
-	}
-	if err := srv.Close(); err != nil {
-		return FanoutResult{}, err
+	for i, h := range hubs {
+		if err := h.Close(); err != nil {
+			return FanoutResult{}, err
+		}
+		if err := servers[i].Close(); err != nil {
+			return FanoutResult{}, err
+		}
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -284,24 +232,20 @@ func runFanoutStaged(cfg FanoutConfig, tel *telemetry.Telemetry) (FanoutResult, 
 			return FanoutResult{}, err
 		}
 	}
-	res := FanoutResult{
-		Mode: "staged", Policy: c.Policy, Consumers: c.Consumers,
-		Steps: c.Steps, ProducerWall: wall, ProducerMBps: mbps(payload, wall),
-		WireRatio: 1,
-	}
-	for _, s := range hub.Stats() {
-		res.Delivered += s.Delivered
-		res.Dropped += s.Dropped
-	}
-	if cs := hub.Status().CodecStreams; len(cs) > 0 {
-		var raw, enc int64
-		for _, s := range cs {
+	res.ProducerWall, res.ProducerMBps = wall, mbps(payload, wall)
+	var raw, enc int64
+	for _, h := range hubs {
+		for _, s := range h.Stats() {
+			res.Delivered += s.Delivered
+			res.Dropped += s.Dropped
+		}
+		for _, s := range h.Status().CodecStreams {
 			raw += s.RawBytes
 			enc += s.EncodedBytes
 		}
-		if raw > 0 {
-			res.WireRatio = float64(enc) / float64(raw)
-		}
+	}
+	if raw > 0 {
+		res.WireRatio = float64(enc) / float64(raw)
 	}
 	return res, nil
 }

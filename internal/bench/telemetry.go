@@ -94,7 +94,7 @@ func RunTelemetryOverhead(cfg TelemetryOverheadConfig) (TelemetryOverhead, error
 				}
 			}
 		}()
-		on, err := runFanoutStaged(c.Fanout, tel)
+		on, err := runFanout(c.Fanout, tel, false)
 		close(stop)
 		res.Scrapes += <-scraped
 		exp.Close()
@@ -136,7 +136,7 @@ func RunTelemetryOverhead(cfg TelemetryOverheadConfig) (TelemetryOverhead, error
 				cancel()
 			}
 		}()
-		obs, err := runFanoutStaged(c.Fanout, telObs)
+		obs, err := runFanout(c.Fanout, telObs, false)
 		close(stopObs)
 		res.Crawls += <-crawled
 		expObs.Close()

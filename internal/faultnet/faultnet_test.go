@@ -56,8 +56,16 @@ func TestProxyPassthrough(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("echo mismatch: %q != %q", got, msg)
 	}
-	if tr := px.Profile().Transferred(); tr < int64(2*len(msg)) {
-		t.Fatalf("transferred %d, want >= %d (both directions)", tr, 2*len(msg))
+	// The echo reaches the client as soon as the proxy's write lands,
+	// which can be before that write is charged to the profile: wait
+	// for the count instead of sampling it once.
+	want := int64(2 * len(msg))
+	deadline := time.Now().Add(5 * time.Second)
+	for px.Profile().Transferred() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if tr := px.Profile().Transferred(); tr < want {
+		t.Fatalf("transferred %d, want >= %d (both directions)", tr, want)
 	}
 }
 

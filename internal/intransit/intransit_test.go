@@ -86,12 +86,9 @@ func TestFullPipelineIntegrity(t *testing.T) {
 			return
 		}
 		// Capture each step's merged temperature via a custom analysis.
-		ep.ca.AddLegacyAnalysis("capture", 1, captureFunc(func(da sensei.DataAdaptor) error {
-			g, err := da.Mesh("mesh", true)
+		ep.ca.AddAnalysis("capture", 1, captureFunc(func(st *sensei.Step) error {
+			g, err := st.Mesh("mesh")
 			if err != nil {
-				return err
-			}
-			if err := da.AddArray(g, "mesh", sensei.AssocPoint, "temperature"); err != nil {
 				return err
 			}
 			arr := g.FindPointData("temperature")
@@ -108,7 +105,7 @@ func TestFullPipelineIntegrity(t *testing.T) {
 	mpirt.Run(simRanks, func(c *mpirt.Comm) {
 		s := newSolver(t, c, simRanks)
 		ctx := ctxFor(c, "")
-		w, err := adios.ListenWriter("127.0.0.1:0", adios.WriterOptions{Acct: ctx.Acct})
+		w, err := NewWriter("127.0.0.1:0", ctx.Acct, 0, 0, nil)
 		if err != nil {
 			t.Error(err)
 			return
@@ -120,7 +117,7 @@ func TestFullPipelineIntegrity(t *testing.T) {
 			copy(a[:], all)
 			addrCh <- a
 		}
-		send := NewSendAdaptor(ctx, w, "mesh", []string{"temperature"})
+		send := NewSendAdaptor(w, "mesh", []string{"temperature"})
 		da := core.NewNekDataAdaptor(s, ctx.Acct)
 		for step := 0; step < steps; step++ {
 			s.Step()
@@ -177,13 +174,13 @@ func TestFullPipelineIntegrity(t *testing.T) {
 
 var mu sync.Mutex
 
-// captureFunc adapts a closure to the legacy sensei.AnalysisAdaptor
-// shape (exercising the Legacy compat wrapper end to end); it never
-// requests a stop.
-type captureFunc func(da sensei.DataAdaptor) error
+// captureFunc adapts a closure to a sensei.Analysis pulling every
+// array of "mesh"; it never requests a stop.
+type captureFunc func(st *sensei.Step) error
 
-func (f captureFunc) Execute(da sensei.DataAdaptor) (bool, error) { return false, f(da) }
-func (f captureFunc) Finalize() error                             { return nil }
+func (f captureFunc) Describe() sensei.Requirements         { return sensei.RequireAllArrays("mesh") }
+func (f captureFunc) Execute(st *sensei.Step) (bool, error) { return false, f(st) }
+func (f captureFunc) Finalize() error                       { return nil }
 
 // TestEndpointVTUCheckpoint drives the paper's in transit
 // Checkpointing measurement point end to end: sim -> SST -> endpoint
@@ -220,12 +217,12 @@ func TestEndpointVTUCheckpoint(t *testing.T) {
 	comm := mpirt.NewWorld(1).Comm(0)
 	s := newSolver(t, comm, 1)
 	ctx := ctxFor(comm, "")
-	w, err := adios.ListenWriter("127.0.0.1:0", adios.WriterOptions{Acct: ctx.Acct})
+	w, err := NewWriter("127.0.0.1:0", ctx.Acct, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrCh <- w.Addr()
-	send := NewSendAdaptor(ctx, w, "mesh", nil) // all arrays
+	send := NewSendAdaptor(w, "mesh", nil) // all arrays
 	da := core.NewNekDataAdaptor(s, ctx.Acct)
 	for step := 0; step < steps; step++ {
 		s.Step()
@@ -262,7 +259,7 @@ func TestStructureSentOnce(t *testing.T) {
 	comm := mpirt.NewWorld(1).Comm(0)
 	s := newSolver(t, comm, 1)
 	ctx := ctxFor(comm, "")
-	w, err := adios.ListenWriter("127.0.0.1:0", adios.WriterOptions{QueueLimit: 4, Acct: ctx.Acct})
+	w, err := NewWriter("127.0.0.1:0", ctx.Acct, 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +268,7 @@ func TestStructureSentOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	send := NewSendAdaptor(ctx, w, "mesh", []string{"pressure"})
+	send := NewSendAdaptor(w, "mesh", []string{"pressure"})
 	da := core.NewNekDataAdaptor(s, ctx.Acct)
 	for step := 0; step < 2; step++ {
 		da.SetStep(step, 0)
@@ -434,12 +431,9 @@ func TestEndpointResyncSkewedSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seen []int
-	ep.ca.AddLegacyAnalysis("capture", 1, captureFunc(func(da sensei.DataAdaptor) error {
-		g, err := da.Mesh("mesh", true)
+	ep.ca.AddAnalysis("capture", 1, captureFunc(func(st *sensei.Step) error {
+		g, err := st.Mesh("mesh")
 		if err != nil {
-			return err
-		}
-		if err := da.AddArray(g, "mesh", sensei.AssocPoint, "f"); err != nil {
 			return err
 		}
 		arr := g.FindPointData("f")
@@ -447,7 +441,7 @@ func TestEndpointResyncSkewedSources(t *testing.T) {
 		if arr.Data[0] != arr.Data[8] {
 			t.Errorf("merged mismatched steps: %v vs %v", arr.Data[0], arr.Data[8])
 		}
-		seen = append(seen, da.TimeStep())
+		seen = append(seen, st.TimeStep())
 		return nil
 	}))
 	n, err := ep.Run()
@@ -498,12 +492,9 @@ func TestStagingFanoutEndpoints(t *testing.T) {
 				epErrs[i] = err
 				return
 			}
-			ep.ca.AddLegacyAnalysis("capture", 1, captureFunc(func(da sensei.DataAdaptor) error {
-				g, err := da.Mesh("mesh", true)
+			ep.ca.AddAnalysis("capture", 1, captureFunc(func(st *sensei.Step) error {
+				g, err := st.Mesh("mesh")
 				if err != nil {
-					return err
-				}
-				if err := da.AddArray(g, "mesh", sensei.AssocPoint, "temperature"); err != nil {
 					return err
 				}
 				lastTemp[i] = append([]float64(nil), g.FindPointData("temperature").Data...)
@@ -615,28 +606,17 @@ func TestSendSubsetOnWire(t *testing.T) {
 	comm := mpirt.NewWorld(1).Comm(0)
 	s := newSolver(t, comm, 1)
 	ctx := ctxFor(comm, "")
-	w, err := adios.ListenWriter("127.0.0.1:0", adios.WriterOptions{
-		QueueLimit: 8, Acct: ctx.Acct,
-		Advertise: []string{"pressure", "temperature"},
-	})
+	w, err := NewWriter("127.0.0.1:0", ctx.Acct, 8, 0, []string{"pressure", "temperature"})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Handshake rejection: the requested array is not advertised.
+	// Handshake rejection: the requested array is not advertised. The
+	// rejected hello claims nothing, so the stream still takes a reader.
 	if _, err := adios.OpenReaderWith(w.Addr(), adios.ReaderOptions{
 		Arrays: []string{"vorticity_x"},
 	}); err == nil || !strings.Contains(err.Error(), "rejected") {
 		t.Fatalf("want handshake rejection, got %v", err)
-	}
-	w.Close() //nolint:errcheck // rejected handshake poisons the writer
-
-	w, err = adios.ListenWriter("127.0.0.1:0", adios.WriterOptions{
-		QueueLimit: 8, Acct: ctx.Acct,
-		Advertise: []string{"pressure", "temperature"},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	r, err := adios.OpenReaderWith(w.Addr(), adios.ReaderOptions{Arrays: []string{"pressure"}})
 	if err != nil {
@@ -644,7 +624,7 @@ func TestSendSubsetOnWire(t *testing.T) {
 	}
 	defer r.Close()
 
-	send := NewSendAdaptor(ctx, w, "mesh", []string{"pressure", "temperature"})
+	send := NewSendAdaptor(w, "mesh", []string{"pressure", "temperature"})
 	if got := w.RequestedArrays(); len(got) != 1 || got[0] != "pressure" {
 		t.Fatalf("RequestedArrays = %v, want [pressure]", got)
 	}
@@ -820,4 +800,17 @@ func TestStorageReuseVanishedArray(t *testing.T) {
 	if arr := g.FindPointData("p"); arr == nil || arr.Data[0] != 9 {
 		t.Errorf("recycled array has wrong contents: %+v", arr)
 	}
+}
+
+// gatherAddrs collects every rank's address on rank 0, in rank order.
+func gatherAddrs(comm *mpirt.Comm, addr string) []string {
+	all := comm.GatherBytes(0, []byte(addr))
+	if comm.Rank() != 0 {
+		return nil
+	}
+	out := make([]string, len(all))
+	for i, b := range all {
+		out[i] = string(b)
+	}
+	return out
 }

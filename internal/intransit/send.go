@@ -24,45 +24,163 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
+	"time"
 
 	"nekrs-sensei/internal/adios"
-	"nekrs-sensei/internal/mpirt"
+	"nekrs-sensei/internal/metrics"
 	"nekrs-sensei/internal/sensei"
+	"nekrs-sensei/internal/staging"
 )
 
 // SendAdaptor is the simulation-side analysis adaptor (SENSEI's
-// "ADIOS2 analysis adaptor"): Execute marshals the requested arrays —
-// and, once, the grid structure — into an SST step. Registered as
-// analysis type "adios" with attributes address, queue, arrays,
-// contact.
+// "ADIOS2 analysis adaptor"): Execute publishes the requested arrays —
+// and, once, the grid structure — into the rank's SST stream.
+// Registered as analysis type "adios" with attributes address, queue,
+// arrays, contact, mesh and reattach.
 //
 // The adaptor is requirements-aware in both directions: Describe
 // declares the configured arrays downstream of the simulation (so the
 // planner pulls them once, shared with co-located analyses), and the
 // reader's hello may declare an `arrays` subset upstream — from then
 // on only the requested arrays are pulled and shipped, turning the
-// endpoint's declared requirements into wire-bandwidth savings.
-// (Steps staged before the handshake arrived — at most the writer's
-// queue depth, and usually zero because Put blocks on a full queue
-// until the reader attaches — still carry the full configured set.)
-// A subset naming an array outside the configured `arrays` attribute
-// is rejected in the handshake.
+// endpoint's declared requirements into wire-bandwidth savings. A
+// subset naming an array outside the configured `arrays` attribute is
+// rejected in the handshake.
 type SendAdaptor struct {
-	ctx      *sensei.Context
-	writer   *adios.Writer
-	meshName string
-	arrays   []string
-
+	writer        *Writer
+	meshName      string
+	arrays        []string
 	structureSent bool
-	stepsSent     int
 }
 
-// NewSendAdaptor wraps an existing SST writer (programmatic use).
-func NewSendAdaptor(ctx *sensei.Context, w *adios.Writer, meshName string, arrays []string) *SendAdaptor {
+// Writer is one rank's end of an SST stream: a staging hub with one
+// pre-declared block consumer of depth queue, served to one reader at
+// a time. Every hello claims that consumer, whatever consumer name or
+// policy it announces; its array subset and codec request apply as on
+// any hub, and a second concurrent reader is rejected.
+//
+// With reattach > 0 the consumer is bound as a resumable session, so
+// the stream survives that many reader disconnects: the reader
+// redialing with its token, or a fresh one adopting the parked
+// session, resumes exactly once from the acknowledged step. With
+// reattach 0 a lost reader ends the stream and the next Put fails.
+type Writer struct {
+	hub      *staging.Hub
+	binder   *staging.Binder
+	srv      *staging.Server
+	reattach int
+	attached chan struct{} // closed when the first reader binds
+
+	mu       sync.Mutex
+	cons     *staging.Consumer // the reader's consumer (the declared one until a reader binds)
+	attaches int
+}
+
+const (
+	readerConsumer = "reader"         // the one consumer every reader claims
+	reattachTTL    = 30 * time.Second // how long a lost reader's position is kept
+	// closeWait bounds how long Close waits for a first reader, so a
+	// run shorter than the endpoint's start-up still delivers.
+	closeWait = 5 * time.Second
+)
+
+// NewWriter starts a stream on addr (use "127.0.0.1:0" for an
+// ephemeral port). queue bounds the steps staged ahead of the reader
+// (<= 0 selects 2, the SST default); staged bytes are accounted under
+// acct's "staging-hub" category. A non-nil arrays is the advertised
+// set reader subsets are checked against.
+func NewWriter(addr string, acct *metrics.Accountant, queue, reattach int, arrays []string) (*Writer, error) {
+	hub := staging.NewHub(acct)
+	hub.SetAdvertised(arrays)
+	w := &Writer{hub: hub, binder: staging.NewBinder(hub, staging.Block, queue),
+		reattach: reattach, attached: make(chan struct{})}
+	if reattach > 0 {
+		w.binder.EnableSessions(reattachTTL)
+	}
+	var err error
+	if w.cons, err = w.binder.Declare(staging.ConsumerSpec{Name: readerConsumer}); err != nil {
+		return nil, err
+	}
+	if w.srv, err = staging.Serve(hub, addr, w.resolve); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// resolve binds a reader's hello to the stream's one consumer.
+func (w *Writer) resolve(req staging.SubscribeRequest) (*staging.Subscription, error) {
+	req.Name, req.Policy, req.Depth, req.Group = readerConsumer, "", 0, 0
+	req.NewSession = w.reattach > 0 && req.Session == ""
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.attaches > w.reattach {
+		return nil, fmt.Errorf("stream already served %d reader(s), reattach=%d", w.attaches, w.reattach)
+	}
+	sub, err := w.binder.Resolve(req)
+	if err != nil {
+		return nil, err
+	}
+	if w.attaches == 0 {
+		close(w.attached)
+	}
+	w.attaches++
+	w.cons = sub.Cons
+	return sub, nil
+}
+
+func (w *Writer) consumer() *staging.Consumer {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.cons
+}
+
+// Addr reports the stream's contact address for the rendezvous step.
+func (w *Writer) Addr() string { return w.srv.Addr() }
+
+// Hub exposes the stream's staging hub (stats, recording).
+func (w *Writer) Hub() *staging.Hub { return w.hub }
+
+// StepsSent reports the steps the reader has received and credited.
+func (w *Writer) StepsSent() int64 { return w.consumer().Credited() }
+
+// RequestedArrays reports the array subset the reader declared in its
+// hello: nil before a reader binds or when it wants everything.
+func (w *Writer) RequestedArrays() []string { return w.consumer().Arrays() }
+
+// Put stages one step, blocking while queue steps already wait for the
+// reader (backpressure). It fails after Close, and once the stream has
+// lost its reader for good.
+func (w *Writer) Put(s *adios.Step) error {
+	w.mu.Lock()
+	lost := w.attaches > w.reattach && w.cons.IsClosed()
+	w.mu.Unlock()
+	if lost {
+		return fmt.Errorf("intransit: reader disconnected mid-stream")
+	}
+	return w.hub.Publish(s)
+}
+
+// Close ends the stream: the reader drains the staged steps and sees
+// end-of-stream. If no reader has attached yet, Close first waits up
+// to closeWait for one; after that the staged steps are discarded.
+func (w *Writer) Close() error {
+	err := w.hub.Close()
+	select {
+	case <-w.attached:
+	case <-time.After(closeWait):
+	}
+	w.binder.Shutdown() // a parked session would hold its steps until its TTL
+	w.srv.Close()       //nolint:errcheck // always nil; per-reader failures are in srv.Err
+	return err
+}
+
+// NewSendAdaptor wraps an existing stream writer (programmatic use).
+func NewSendAdaptor(w *Writer, meshName string, arrays []string) *SendAdaptor {
 	if meshName == "" {
 		meshName = "mesh"
 	}
-	return &SendAdaptor{ctx: ctx, writer: w, meshName: meshName, arrays: arrays}
+	return &SendAdaptor{writer: w, meshName: meshName, arrays: arrays}
 }
 
 func init() {
@@ -71,20 +189,20 @@ func init() {
 		if addr == "" {
 			addr = "127.0.0.1:0"
 		}
-		opts := adios.WriterOptions{Acct: ctx.Acct}
+		queue, reattach := 2, 0
 		if q := attrs["queue"]; q != "" {
 			v, err := strconv.Atoi(q)
 			if err != nil || v < 1 {
 				return nil, fmt.Errorf("intransit: bad queue %q", q)
 			}
-			opts.QueueLimit = v
+			queue = v
 		}
 		if rt := attrs["reattach"]; rt != "" {
 			v, err := strconv.Atoi(rt)
 			if err != nil || v < 0 {
 				return nil, fmt.Errorf("intransit: bad reattach %q", rt)
 			}
-			opts.MaxReattach = v
+			reattach = v
 		}
 		var arrays []string
 		if a := strings.TrimSpace(attrs["arrays"]); a != "" {
@@ -94,34 +212,19 @@ func init() {
 		}
 		// A configured array set doubles as the advertisement readers'
 		// subset requests are validated against in the handshake.
-		opts.Advertise = arrays
-		w, err := adios.ListenWriter(addr, opts)
+		w, err := NewWriter(addr, ctx.Acct, queue, reattach, arrays)
 		if err != nil {
 			return nil, err
 		}
-		// Rendezvous: gather every rank's address; rank 0 publishes the
-		// contact file readers poll.
-		if contact := attrs["contact"]; contact != "" {
-			all := ctx.Comm.GatherBytes(0, []byte(w.Addr()))
-			if ctx.Comm.Rank() == 0 {
-				addrs := make([]string, len(all))
-				for i, b := range all {
-					addrs[i] = string(b)
-				}
-				if err := adios.WriteContact(contact, addrs); err != nil {
-					return nil, err
-				}
-			}
+		if err := staging.PublishContact(ctx, w.Addr(), attrs["contact"], ""); err != nil {
+			return nil, err
 		}
-		return NewSendAdaptor(ctx, w, attrs["mesh"], arrays), nil
+		return NewSendAdaptor(w, attrs["mesh"], arrays), nil
 	})
 }
 
-// Writer exposes the underlying SST writer (stats, address).
-func (s *SendAdaptor) Writer() *adios.Writer { return s.writer }
-
-// StepsSent reports Execute calls that shipped a step.
-func (s *SendAdaptor) StepsSent() int { return s.stepsSent }
+// Writer exposes the rank's stream (stats, address, hub).
+func (s *SendAdaptor) Writer() *Writer { return s.writer }
 
 // sendSet resolves the arrays this step must ship: the connected
 // reader's declared subset when one arrived, otherwise the configured
@@ -145,59 +248,18 @@ func (s *SendAdaptor) Describe() sensei.Requirements {
 
 // Execute implements sensei.Analysis.
 func (s *SendAdaptor) Execute(st *sensei.Step) (bool, error) {
-	arrays := s.sendSet()
-	if len(arrays) == 0 {
-		md, err := st.Metadata(s.meshName)
-		if err != nil {
-			return false, err
-		}
-		arrays = md.ArrayNames
-	}
-	g, err := st.Mesh(s.meshName)
+	step, err := staging.StreamStep(st, s.meshName, s.sendSet(), !s.structureSent)
 	if err != nil {
 		return false, err
 	}
-	step := &adios.Step{
-		Step:  int64(st.TimeStep()),
-		Time:  st.Time(),
-		Attrs: map[string]string{"mesh": s.meshName},
-	}
-	if !s.structureSent {
-		step.Attrs["structure"] = "1"
-		step.Vars = append(step.Vars,
-			adios.NewF64("points", g.Points, int64(g.NumPoints()), 3),
-			adios.NewI64("connectivity", g.Connectivity),
-			adios.NewI64("offsets", g.Offsets),
-			adios.NewU8("types", g.CellTypes),
-		)
-		s.structureSent = true
-	}
-	for _, name := range arrays {
-		arr := g.FindPointData(name)
-		if arr == nil {
-			return false, fmt.Errorf("intransit: array %q not attached", name)
-		}
-		step.Vars = append(step.Vars, adios.NewF64("array/"+name, arr.Data))
-	}
-	if err := s.writer.Put(step); err != nil {
-		return false, err
-	}
-	s.stepsSent++
-	return false, nil
+	s.structureSent = true
+	return false, s.writer.Put(step)
 }
 
-// Finalize closes the stream, draining the staging queue.
+// RetainsStepData implements sensei.StepRetainer: the hub marshals a
+// published step in its network pump, after Execute has returned, so
+// the planner must not recycle the pulled arrays underneath it.
+func (s *SendAdaptor) RetainsStepData() bool { return true }
+
+// Finalize closes the stream, draining the staged steps to the reader.
 func (s *SendAdaptor) Finalize() error { return s.writer.Close() }
-
-// gatherAddrs is a test hook validating rank-ordered address exchange.
-func gatherAddrs(comm *mpirt.Comm, addr string) []string {
-	all := comm.GatherBytes(0, []byte(addr))
-	if comm.Rank() != 0 {
-		return nil
-	}
-	out := make([]string, len(all))
-	for i, b := range all {
-		out[i] = string(b)
-	}
-	return out
-}

@@ -100,8 +100,9 @@ func TestConfigMaxError(t *testing.T) {
 }
 
 // TestConfigurableMaxError checks the instantiated planner agrees with
-// the XML-only derivation, including the paths ConfigMaxError cannot
-// see: opaque legacy adaptors must veto lossy transport.
+// the XML-only derivation, including the path ConfigMaxError cannot
+// see: a programmatically added lossless analysis must veto lossy
+// transport.
 func TestConfigurableMaxError(t *testing.T) {
 	ca := NewConfigurableAnalysis(testCtx())
 	cfg := `<sensei>
@@ -114,11 +115,12 @@ func TestConfigurableMaxError(t *testing.T) {
 	if b, ok := ca.MaxError(); !ok || b != 1e-5 {
 		t.Fatalf("MaxError = %v, %v, want 1e-5, true", b, ok)
 	}
-	// A legacy adaptor's needs are unknown — the planner must refuse a
-	// bound no matter what the declared analyses tolerate.
-	ca.AddLegacyAnalysis("capture", 1, legacyNop{})
+	// An analysis that pulls data without declaring a tolerance needs it
+	// lossless — the planner must refuse a bound no matter what the
+	// other analyses tolerate.
+	ca.AddAnalysis("capture", 1, &stepTracker{})
 	if _, ok := ca.MaxError(); ok {
-		t.Fatal("opaque legacy analysis did not veto the error bound")
+		t.Fatal("lossless analysis did not veto the error bound")
 	}
 
 	// A bad maxerror attribute fails configuration outright.
@@ -132,9 +134,3 @@ func TestConfigurableMaxError(t *testing.T) {
 		t.Fatal("zero maxerror accepted")
 	}
 }
-
-// legacyNop is a minimal v1 adaptor for the opaque-veto test.
-type legacyNop struct{}
-
-func (legacyNop) Execute(DataAdaptor) (bool, error) { return false, nil }
-func (legacyNop) Finalize() error                   { return nil }

@@ -14,9 +14,7 @@
 // simulation exactly once per step into a shared read-only Step, and
 // the declarations propagate upstream so in-transit senders ship only
 // the requested arrays (see Requirements, Pull, and the intransit /
-// staging packages). Legacy pull-it-yourself adaptors
-// (AnalysisAdaptor) keep working through the Legacy wrapper. An
-// Analysis may also request a clean stop of the simulation or
+// staging packages). An Analysis may also request a clean stop of the simulation or
 // endpoint loop by returning stop=true from Execute.
 package sensei
 
@@ -102,21 +100,9 @@ type DataAdaptor interface {
 // — and in-transit senders can ship only the declared subset. Execute
 // returns stop=true to request that the simulation or endpoint stop
 // cleanly after this step. Finalize flushes state at shutdown.
-//
-// All in-tree adaptors implement Analysis; v1 adaptors that still pull
-// through the raw DataAdaptor keep working via the Legacy wrapper.
 type Analysis interface {
 	Describe() Requirements
 	Execute(step *Step) (bool, error)
-	Finalize() error
-}
-
-// AnalysisAdaptor is the legacy (v1) analysis-side interface: Execute
-// pulls ad hoc through the DataAdaptor itself. Wrap with Legacy to run
-// one under the requirements-driven planner; its pulls are neither
-// deduplicated nor subsettable.
-type AnalysisAdaptor interface {
-	Execute(da DataAdaptor) (bool, error)
 	Finalize() error
 }
 
@@ -177,8 +163,7 @@ type Context struct {
 	AttrDefaults map[string]string
 }
 
-// Factory instantiates an Analysis from its XML attributes. Factories
-// for v1 adaptors return Legacy(adaptor).
+// Factory instantiates an Analysis from its XML attributes.
 type Factory func(ctx *Context, attrs map[string]string) (Analysis, error)
 
 var (

@@ -274,35 +274,43 @@ func init() {
 			return nil, err
 		}
 		ad.server = srv
-		// Rendezvous: gather every rank's server address; rank 0
-		// publishes the contact file readers poll — the same mechanism
-		// as direct SST streams. When a telemetry exporter is live its
-		// address rides along as a "#telemetry=" stamp so the mesh
-		// observatory can find this process, and the contact directory
-		// itself gets a /meshz mount (any process that knows the
-		// directory can serve the whole tree's view).
-		if contact := attrs["contact"]; contact != "" {
-			all := ctx.Comm.GatherBytes(0, []byte(srv.Addr()))
-			if ctx.Comm.Rank() == 0 {
-				addrs := make([]string, len(all))
-				for i, b := range all {
-					addrs[i] = string(b)
-				}
-				telAddr := ctx.Telemetry.ServeAddr()
-				var werr error
-				if dir := strings.TrimSpace(attrs["contact-dir"]); dir != "" {
-					werr = adios.WriteContactEntryWith(dir, contact, addrs, telAddr)
-					meshobs.Install(ctx.Telemetry, dir)
-				} else {
-					werr = adios.WriteContactWith(contact, addrs, telAddr)
-				}
-				if werr != nil {
-					return nil, werr
-				}
-			}
+		if err := PublishContact(ctx, srv.Addr(), attrs["contact"], strings.TrimSpace(attrs["contact-dir"])); err != nil {
+			return nil, err
 		}
 		return ad, nil
 	})
+}
+
+// PublishContact is the rendezvous of a producer running one server
+// per rank: every rank's address is gathered and rank 0 writes them,
+// in rank order, to the contact file readers poll — or, with dir set,
+// to the entry named contact in that contact directory. When a
+// telemetry exporter is live its address rides along as a
+// "#telemetry=" stamp so the mesh observatory can find this process,
+// and a contact directory gets a /meshz mount (any process that knows
+// the directory can serve the whole tree's view). An empty contact
+// publishes nothing.
+func PublishContact(ctx *sensei.Context, addr, contact, dir string) error {
+	if contact == "" {
+		return nil
+	}
+	all := ctx.Comm.GatherBytes(0, []byte(addr))
+	if ctx.Comm.Rank() != 0 {
+		return nil
+	}
+	addrs := make([]string, len(all))
+	for i, b := range all {
+		addrs[i] = string(b)
+	}
+	telAddr := ctx.Telemetry.ServeAddr()
+	if dir == "" {
+		return adios.WriteContactWith(contact, addrs, telAddr)
+	}
+	if err := adios.WriteContactEntryWith(dir, contact, addrs, telAddr); err != nil {
+		return err
+	}
+	meshobs.Install(ctx.Telemetry, dir)
+	return nil
 }
 
 // RetainsStepData implements sensei.StepRetainer: published steps
@@ -337,24 +345,40 @@ func (a *Adaptor) Describe() sensei.Requirements {
 // Execute implements sensei.Analysis: one step is marshaled into the
 // hub regardless of how many consumers fan out of it.
 func (a *Adaptor) Execute(st *sensei.Step) (bool, error) {
-	arrays := a.arrays
+	step, err := StreamStep(st, a.meshName, a.arrays, !a.structureSent)
+	if err != nil {
+		return false, err
+	}
+	a.structureSent = true
+	if err := a.hub.Publish(step); err != nil {
+		return false, err
+	}
+	a.stepsStaged++
+	return false, nil
+}
+
+// StreamStep builds one trigger's wire step from the pulled data: the
+// named point arrays of mesh (every array the mesh carries when arrays
+// is empty), and the grid structure too when structure is set. The
+// step shares the pulled arrays' storage instead of copying it.
+func StreamStep(st *sensei.Step, mesh string, arrays []string, structure bool) (*adios.Step, error) {
 	if len(arrays) == 0 {
-		md, err := st.Metadata(a.meshName)
+		md, err := st.Metadata(mesh)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
 		arrays = md.ArrayNames
 	}
-	g, err := st.Mesh(a.meshName)
+	g, err := st.Mesh(mesh)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	step := &adios.Step{
 		Step:  int64(st.TimeStep()),
 		Time:  st.Time(),
-		Attrs: map[string]string{"mesh": a.meshName},
+		Attrs: map[string]string{"mesh": mesh},
 	}
-	if !a.structureSent {
+	if structure {
 		step.Attrs["structure"] = "1"
 		step.Vars = append(step.Vars,
 			adios.NewF64("points", g.Points, int64(g.NumPoints()), 3),
@@ -362,23 +386,15 @@ func (a *Adaptor) Execute(st *sensei.Step) (bool, error) {
 			adios.NewI64("offsets", g.Offsets),
 			adios.NewU8("types", g.CellTypes),
 		)
-		a.structureSent = true
 	}
 	for _, name := range arrays {
 		arr := g.FindPointData(name)
 		if arr == nil {
-			return false, fmt.Errorf("staging: array %q not attached", name)
+			return nil, fmt.Errorf("staging: array %q not attached", name)
 		}
-		// The per-trigger VTK copy is never written again after this
-		// Execute, so the hub shares it with every consumer un-copied
-		// ("released" by the bridge affects accounting only).
 		step.Vars = append(step.Vars, adios.NewF64("array/"+name, arr.Data))
 	}
-	if err := a.hub.Publish(step); err != nil {
-		return false, err
-	}
-	a.stepsStaged++
-	return false, nil
+	return step, nil
 }
 
 // Finalize closes the hub (consumers drain and see end-of-stream) and

@@ -34,7 +34,7 @@ import (
 // The XML staging adaptor and the archive replay producer both serve
 // their hubs through a Binder, so live and post hoc attachment
 // semantics are identical. Use Resolve as the staging.Serve
-// SubscribeFunc; Bind remains the positional non-session veneer.
+// SubscribeFunc.
 type Binder struct {
 	hub       *Hub
 	defPolicy Policy
@@ -164,7 +164,9 @@ func (b *Binder) Resolve(req SubscribeRequest) (*Subscription, error) {
 		// Consumer groups keep their own attachment discipline and do
 		// not participate in sessions.
 		cons, err := b.groups.attach(b.hub, req.Name, req.Group, func() (*Consumer, error) {
-			return b.Bind(req.Name, req.Policy, req.Depth, 1, req.Arrays, req.Codecs)
+			b.mu.Lock()
+			defer b.mu.Unlock()
+			return b.bindLocked(req.Name, req.Policy, req.Depth, req.Arrays, req.Codecs)
 		})
 		if err != nil {
 			return nil, err
@@ -398,24 +400,12 @@ func (b *Binder) MinResume() int64 {
 	return min
 }
 
-// Bind resolves one reader's handshake positionally — the pre-session
-// SubscribeFunc shape, kept for callers that manage consumers
-// directly. A reader claiming a pre-declared name may narrow its
-// array subset and request wire codecs in the hello; an array outside
-// the advertisement or an unsupported codec rejects the handshake. A
-// reader announcing no codecs inherits the declared spec's codecs
-// (the server's handshake reply echoes the effective set either way).
-func (b *Binder) Bind(name, policy string, depth, group int, arrays, codecs []string) (*Consumer, error) {
-	if group > 1 {
-		return b.groups.attach(b.hub, name, group, func() (*Consumer, error) {
-			return b.Bind(name, policy, depth, 1, arrays, codecs)
-		})
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.bindLocked(name, policy, depth, arrays, codecs)
-}
-
+// bindLocked binds one reader positionally. A reader claiming a
+// pre-declared name may narrow its array subset and request wire
+// codecs in the hello; an array outside the advertisement or an
+// unsupported codec rejects the handshake. A reader announcing no
+// codecs inherits the declared spec's codecs (the server's handshake
+// reply echoes the effective set either way). Caller holds b.mu.
 func (b *Binder) bindLocked(name, policy string, depth int, arrays, codecs []string) (*Consumer, error) {
 	if spec, ok := b.specs[name]; ok {
 		cons := b.registered[name]

@@ -347,6 +347,7 @@ type Consumer struct {
 	resumeFloor int64
 	lastSim     int64
 	suppressed  int64
+	credited    int64 // network deliveries the reader acknowledged
 
 	// Spill-policy state: steps evicted from the ring window queue
 	// here (oldest first) and a background spiller demotes them to
@@ -623,13 +624,6 @@ func (h *Hub) SetCodecAdvertised(codecs []string) {
 	h.codecAdvertised = codecs
 }
 
-// CodecAdvertised reports the declared codec restriction (nil = any).
-func (h *Hub) CodecAdvertised() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.codecAdvertised
-}
-
 // validateCodecsLocked parses and validates a codec request against
 // the advertisement. Caller holds h.mu.
 func (h *Hub) validateCodecsLocked(codecs []string) (codec.Spec, error) {
@@ -638,14 +632,6 @@ func (h *Hub) validateCodecsLocked(codecs []string) (codec.Spec, error) {
 		return codec.Spec{}, fmt.Errorf("staging: %w", err)
 	}
 	return spec, nil
-}
-
-// validateCodecs is validateCodecsLocked for external callers.
-func (h *Hub) validateCodecs(codecs []string) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	_, err := h.validateCodecsLocked(codecs)
-	return err
 }
 
 // setConsumerCodecsLocked installs a validated codec spec on a
@@ -706,11 +692,16 @@ func (h *Hub) Advertised() []string {
 }
 
 // validateSubsetLocked rejects subsets naming arrays outside the
-// advertisement (no-op while no advertisement is set), using the wire
-// protocol's shared rejection rule. Caller holds h.mu.
+// advertisement (no-op while no advertisement is set). Caller holds
+// h.mu.
 func (h *Hub) validateSubsetLocked(arrays []string) error {
-	if err := adios.CheckAdvertised(arrays, h.advertised); err != nil {
-		return fmt.Errorf("staging: %w", err)
+	if h.advertised == nil {
+		return nil
+	}
+	for _, want := range arrays {
+		if i := sort.SearchStrings(h.advertised, want); i == len(h.advertised) || h.advertised[i] != want {
+			return fmt.Errorf("staging: requested array %q is not advertised (have %v)", want, h.advertised)
+		}
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -94,10 +95,15 @@ type ServerOptions struct {
 
 const defaultHandshakeTimeout = 10 * time.Second
 
-// Server accepts any number of SST readers on one address and pumps
-// each one from its own hub consumer: the multi-consumer counterpart
-// of the single-reader adios.Writer. Each frame is marshaled once in
-// the hub and shared by every connection.
+// closeDrain bounds how long Close lets each pump drain to a reader
+// that has stopped returning credits.
+const closeDrain = 5 * time.Second
+
+// Server accepts SST readers on one address and pumps each one from
+// its own hub consumer — the one handshake server of every producer,
+// from a many-consumer staging hub to the single-reader stream of the
+// "adios" analysis. Each frame is marshaled once in the hub and
+// shared by every connection.
 type Server struct {
 	hub       *Hub
 	ln        net.Listener
@@ -114,7 +120,8 @@ type Server struct {
 
 // Serve starts a staging server on addr (use "127.0.0.1:0" for an
 // ephemeral port) with default options. subscribe may be nil, in
-// which case every reader gets a fresh consumer with its announced
+// which case readers resolve through a Binder with nothing declared:
+// every reader gets a fresh consumer with its announced
 // name/policy/depth (policy defaults to block), readers announcing
 // group > 1 are brokered into shared consumer groups by name, and
 // session tokens are rejected as unknown (no resumable sessions —
@@ -130,34 +137,10 @@ func ServeWith(hub *Hub, addr string, subscribe SubscribeFunc, opts ServerOption
 	if err != nil {
 		return nil, fmt.Errorf("staging: listen: %w", err)
 	}
-	s := &Server{hub: hub, ln: ln, subscribe: subscribe, opts: opts, conns: map[net.Conn]*Consumer{}}
-	if s.subscribe == nil {
-		var broker groupBroker
-		s.subscribe = func(req SubscribeRequest) (*Subscription, error) {
-			if req.Session != "" {
-				return nil, fmt.Errorf("%s %q", adios.ReasonUnknownSession, req.Session)
-			}
-			p, err := ParsePolicy(req.Policy)
-			if err != nil {
-				return nil, err
-			}
-			if req.Group > 1 {
-				cons, err := broker.attach(hub, req.Name, req.Group, func() (*Consumer, error) {
-					return hub.SubscribeCodecs(req.Name, p, req.Depth, req.Arrays, req.Codecs)
-				})
-				if err != nil {
-					return nil, err
-				}
-				return &Subscription{Cons: cons}, nil
-			}
-			cons, err := hub.SubscribeCodecs(req.Name, p, req.Depth, req.Arrays, req.Codecs)
-			if err != nil {
-				return nil, err
-			}
-			hub.setResumeFloor(cons, req.Resume)
-			return &Subscription{Cons: cons}, nil
-		}
+	if subscribe == nil {
+		subscribe = NewBinder(hub, Block, 0).Resolve
 	}
+	s := &Server{hub: hub, ln: ln, subscribe: subscribe, opts: opts, conns: map[net.Conn]*Consumer{}}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -227,30 +210,17 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.SetReadDeadline(time.Now().Add(ht)) //nolint:errcheck // best effort
 	}
 	br := bufio.NewReaderSize(conn, 1<<16)
-	dec := json.NewDecoder(br)
-	var h adios.Hello
-	if err := dec.Decode(&h); err != nil {
-		s.setErr(fmt.Errorf("staging: bad reader handshake: %v", err))
+	req, dec, err := readHello(br)
+	if err != nil {
+		s.setErr(err)
 		return
-	}
-	if h.Role != "reader" {
-		s.setErr(fmt.Errorf("staging: bad reader handshake: unexpected role %q", h.Role))
-		return
-	}
-	req := SubscribeRequest{
-		Name: h.Consumer, Policy: h.Policy, Depth: h.Depth, Group: h.Group,
-		Arrays: h.Arrays, Codecs: h.Codecs,
-		Session: h.Session, NewSession: h.NewSession, Resume: h.Resume,
-	}
-	if h.SessionTTL > 0 {
-		req.SessionTTL = time.Duration(h.SessionTTL * float64(time.Second))
 	}
 	// Bind before replying so a failed subscription is rejected in the
 	// handshake (the client would otherwise read a closed connection
 	// as a clean, empty end-of-stream).
 	sub, err := s.subscribe(req)
 	if err != nil {
-		err = fmt.Errorf("staging: consumer %q: %w", h.Consumer, err)
+		err = fmt.Errorf("staging: consumer %q: %w", req.Name, err)
 		s.setErr(err)
 		json.NewEncoder(conn).Encode(adios.Hello{ //nolint:errcheck // best-effort reject
 			Type: "hello", Role: "rejected", Error: err.Error(),
@@ -290,19 +260,19 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	conn.SetReadDeadline(time.Time{}) //nolint:errcheck // handshake done; pump manages its own deadlines
 	s.mu.Lock()
-	closed := s.closed
-	if !closed {
-		s.conns[conn] = cons
+	if s.closed {
+		// The handshake finished after Close began, so Close never saw
+		// this connection: apply its shutdown rule here. A closed hub
+		// drains the reader's remaining steps, an open one ends the
+		// stream early; either way the pump below finishes with a clean
+		// end-of-stream within the same drain bound.
+		conn.SetDeadline(time.Now().Add(closeDrain)) //nolint:errcheck // best effort
+		if !s.hub.Closed() {
+			cons.Close()
+		}
 	}
+	s.conns[conn] = cons
 	s.mu.Unlock()
-	if closed {
-		// The server closed between handshake and pump start: hand the
-		// reader an empty-but-clean stream instead of a dropped
-		// connection.
-		var eos [8]byte
-		conn.Write(eos[:]) //nolint:errcheck // best-effort EOS
-		return
-	}
 
 	// The credit bytes follow the handshake on the same connection.
 	credits, err := adios.SpliceHandshake(dec, br)
@@ -332,17 +302,11 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			continue
 		}
-		if errors.Is(err, io.EOF) {
-			binary.LittleEndian.PutUint64(lenBuf[:], 0)
-			bw.Write(lenBuf[:]) //nolint:errcheck // best-effort EOS
-			bw.Flush()          //nolint:errcheck
-			return
-		}
 		if err != nil {
-			// Consumer closed under us (server shutdown with the hub
-			// still open, or a forced detach). The stream is truncated
-			// but the connection is healthy, so propagate a clean
-			// end-of-stream: the reader — possibly a downstream relay
+			// Drained (io.EOF), or the consumer closed under us (server
+			// shutdown with the hub still open, or a forced detach). A
+			// truncated stream's connection is still healthy, so it too
+			// ends cleanly: the reader — possibly a downstream relay
 			// with its own subscribers — finishes with io.EOF instead of
 			// surfacing a raw connection error to its whole subtree.
 			binary.LittleEndian.PutUint64(lenBuf[:], 0)
@@ -379,6 +343,35 @@ func (s *Server) serveConn(conn net.Conn) {
 		cons.noteShipped(ref.SimStep())
 		ref.Release()
 	}
+}
+
+// readHello decodes a reader's JSON hello from the head of its
+// connection into a subscription request. The returned decoder holds
+// whatever it read past the hello; adios.SpliceHandshake recovers
+// those bytes as the start of the credit stream.
+func readHello(r io.Reader) (SubscribeRequest, *json.Decoder, error) {
+	dec := json.NewDecoder(r)
+	var h adios.Hello
+	if err := dec.Decode(&h); err != nil {
+		return SubscribeRequest{}, nil, fmt.Errorf("staging: bad reader handshake: %v", err)
+	}
+	if h.Role != "reader" {
+		return SubscribeRequest{}, nil, fmt.Errorf("staging: bad reader handshake: unexpected role %q", h.Role)
+	}
+	req := SubscribeRequest{
+		Name: h.Consumer, Policy: h.Policy, Depth: h.Depth, Group: h.Group,
+		Arrays: h.Arrays, Codecs: h.Codecs,
+		Session: h.Session, NewSession: h.NewSession, Resume: h.Resume,
+	}
+	if h.SessionTTL > 0 {
+		// Saturate instead of letting an absurd request overflow into a
+		// negative duration.
+		req.SessionTTL = time.Duration(math.MaxInt64)
+		if h.SessionTTL < float64(math.MaxInt64)/float64(time.Second) {
+			req.SessionTTL = time.Duration(h.SessionTTL * float64(time.Second))
+		}
+	}
+	return req, dec, nil
 }
 
 // errConsumerSilent marks a consumer liveness timeout — a sentinel so
@@ -451,7 +444,7 @@ func (s *Server) Close() error {
 	for conn, cons := range s.conns {
 		// Bound the drain: a client that stops returning credits
 		// cannot hold the pump (and us) forever.
-		conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // best effort
+		conn.SetDeadline(time.Now().Add(closeDrain)) //nolint:errcheck // best effort
 		if cons != nil && !hubClosed {
 			cons.Close() // a pump blocked in Next exits immediately
 		}

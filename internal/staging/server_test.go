@@ -333,13 +333,13 @@ func TestAdaptorDoubleClaim(t *testing.T) {
 	}
 	ad := a.(*Adaptor)
 	defer ad.Finalize() //nolint:errcheck
-	if _, err := ad.binder.Bind("solo", "", 0, 0, nil, nil); err != nil {
+	if _, err := ad.binder.Resolve(SubscribeRequest{Name: "solo"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ad.binder.Bind("solo", "", 0, 0, nil, nil); err == nil {
+	if _, err := ad.binder.Resolve(SubscribeRequest{Name: "solo"}); err == nil {
 		t.Error("second claim of the same consumer should fail")
 	}
-	if _, err := ad.binder.Bind("", "bogus-policy", 0, 0, nil, nil); err == nil {
+	if _, err := ad.binder.Resolve(SubscribeRequest{Policy: "bogus-policy"}); err == nil {
 		t.Error("bad policy should fail")
 	}
 }
@@ -442,4 +442,76 @@ func TestPublishFrameSharesBytes(t *testing.T) {
 	}
 	h.Close()
 	h2.Close()
+}
+
+// TestServerLateHandshakeDrains: a reader whose handshake completes
+// after Close has begun — with the hub already closed, the shutdown
+// order every producer uses — must still receive the steps its
+// consumer holds and then a clean end-of-stream. The subscribe hook
+// holds the handshake open until Close is under way, so the
+// interleaving is forced rather than hoped for.
+func TestServerLateHandshakeDrains(t *testing.T) {
+	h := NewHub(nil)
+	cons, err := h.Subscribe("late", Block, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 3
+	for i := 0; i < steps; i++ {
+		if err := h.Publish(mkStep(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv, err := Serve(h, "127.0.0.1:0", func(SubscribeRequest) (*Subscription, error) {
+		close(entered)
+		<-release
+		return &Subscription{Cons: cons}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		got []int64
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		r, err := adios.OpenReader(srv.Addr())
+		if err != nil {
+			done <- result{err: err}
+			return
+		}
+		defer r.Close()
+		var res result
+		for {
+			st, err := r.BeginStep()
+			if err != nil {
+				res.err = err
+				break
+			}
+			res.got = append(res.got, st.Step)
+		}
+		done <- res
+	}()
+	<-entered
+	h.Close()
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	waitFor(t, func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return srv.closed
+	})
+	close(release)
+	res := <-done
+	if !errors.Is(res.err, io.EOF) {
+		t.Fatalf("reader ended with %v, want io.EOF", res.err)
+	}
+	if len(res.got) != steps {
+		t.Fatalf("reader got steps %v, want all %d the hub held", res.got, steps)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
 }

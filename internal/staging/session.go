@@ -198,14 +198,20 @@ func (h *Hub) setResumeFloor(c *Consumer, floor int64) {
 // noteShipped records a credited delivery's sim ordinal — the pump
 // calls it once the reader's credit arrived, so nextNeeded is exact.
 func (c *Consumer) noteShipped(sim int64) {
-	if sim < 0 {
-		return
-	}
 	c.hub.mu.Lock()
+	c.credited++
 	if sim > c.lastSim {
 		c.lastSim = sim
 	}
 	c.hub.mu.Unlock()
+}
+
+// Credited reports the steps this consumer's network reader has
+// returned credit for: delivered and acknowledged, not merely sent.
+func (c *Consumer) Credited() int64 {
+	c.hub.mu.Lock()
+	defer c.hub.mu.Unlock()
+	return c.credited
 }
 
 // nextNeeded reports the first sim-step ordinal this consumer's

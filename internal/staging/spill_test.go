@@ -326,7 +326,7 @@ func TestSpillGroupRejected(t *testing.T) {
 	// orphaned spill consumer would silently demote every published
 	// step to disk for the rest of the run.
 	b := NewBinder(h, Block, 2)
-	if _, err := b.Bind("netgrp", "spill", 2, 3, nil, nil); err == nil {
+	if _, err := b.Resolve(SubscribeRequest{Name: "netgrp", Policy: "spill", Depth: 2, Group: 3}); err == nil {
 		t.Fatal("brokered spill group accepted")
 	}
 	if h.ActiveConsumers() != 0 {
